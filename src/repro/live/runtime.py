@@ -87,13 +87,20 @@ class LiveRuntime:
 
         self._modules = list(modules)
         self._by_name: dict[str, Microprotocol] = {}
-        self._height: dict[str, int] = {}
+        #: Stack position of each module (0 = top) and the wire header
+        #: bytes of its sends, as in ProcessRuntime.
+        self._index: dict[str, int] = {}
+        self._send_header: dict[str, int] = {}
+        config = self.net_config
         depth = len(modules)
         for index, module in enumerate(modules):
             if module.name in self._by_name:
                 raise ProtocolError(f"duplicate module name {module.name!r}")
             self._by_name[module.name] = module
-            self._height[module.name] = depth - 1 - index
+            self._index[module.name] = index
+            self._send_header[module.name] = (
+                config.base_header + config.per_module_header * (depth - index)
+            )
 
         self._timers: dict[tuple[str, str], asyncio.TimerHandle] = {}
         self._fd_timers: list[asyncio.TimerHandle] = []
@@ -189,14 +196,14 @@ class LiveRuntime:
             return
         top = self._modules[0]
         if not self._trace.enabled:
-            self._run_handler(top, lambda: top.handle_event(event))
+            self._execute_actions(top, top.handle_event(event))
             return
         start = self.now
         if type(event) is AbcastRequest:
             self._trace.record(
                 start, "abcast.submit", self.pid, event.message.msg_id
             )
-        self._run_handler(top, lambda: top.handle_event(event))
+        self._execute_actions(top, top.handle_event(event))
         self._trace.record(
             start, "span.inject", self.pid, (top.name, self.now - start)
         )
@@ -241,7 +248,7 @@ class LiveRuntime:
         for module in self._modules:
             if not self.alive:
                 return
-            self._run_handler(module, lambda m=module: m.handle_suspicion(suspects))
+            self._execute_actions(module, module.handle_suspicion(suspects))
 
     def fd_send(self, dst: int, kind: str, payload: Any, payload_size: int) -> None:
         """Send a failure-detector message (routed to the peer FD)."""
@@ -297,10 +304,10 @@ class LiveRuntime:
                 f"p{self.pid} has no module {message.module!r} for {message}"
             )
         if not self._trace.enabled:
-            self._run_handler(module, lambda: module.handle_message(message))
+            self._execute_actions(module, module.handle_message(message))
             return
         start = self.now
-        self._run_handler(module, lambda: module.handle_message(message))
+        self._execute_actions(module, module.handle_message(message))
         self._trace.record(
             start,
             "span.recv",
@@ -312,28 +319,27 @@ class LiveRuntime:
     # Action execution
     # ------------------------------------------------------------------
 
-    def _run_handler(self, module: Microprotocol, thunk: Callable[[], list[Action]]) -> None:
-        actions = thunk()
-        self._execute_actions(module, actions)
-
     def _execute_actions(self, module: Microprotocol, actions: list[Action]) -> None:
+        # Class-identity dispatch, as in ProcessRuntime: the action
+        # vocabulary is closed (no subclasses exist).
         for action in actions:
             if not self.alive:
                 return
-            if isinstance(action, Send):
+            cls = action.__class__
+            if cls is Send:
                 self._do_send(module, action.dst, action.kind, action.payload, action.payload_size)
-            elif isinstance(action, SendToAll):
+            elif cls is SendToAll:
                 for dst in module.ctx.others:
                     if not self.alive:
                         return
                     self._do_send(module, dst, action.kind, action.payload, action.payload_size)
-            elif isinstance(action, EmitUp):
+            elif cls is EmitUp:
                 self._emit(module, action.event, direction=-1)
-            elif isinstance(action, EmitDown):
+            elif cls is EmitDown:
                 self._emit(module, action.event, direction=+1)
-            elif isinstance(action, StartTimer):
+            elif cls is StartTimer:
                 self._start_timer(module, action)
-            elif isinstance(action, CancelTimer):
+            elif cls is CancelTimer:
                 self._cancel_timer(module, action.name)
             else:
                 raise ProtocolError(
@@ -343,10 +349,6 @@ class LiveRuntime:
     def _do_send(
         self, module: Microprotocol, dst: int, kind: str, payload: Any, payload_size: int
     ) -> None:
-        height = self._height[module.name]
-        header = self.net_config.base_header + self.net_config.per_module_header * (
-            height + 1
-        )
         message = NetMessage(
             kind=kind,
             module=module.name,
@@ -354,7 +356,7 @@ class LiveRuntime:
             dst=dst,
             payload=payload,
             payload_size=payload_size,
-            header_size=header,
+            header_size=self._send_header[module.name],
         )
         if not self._trace.enabled:
             self.transport.send(message)
@@ -369,8 +371,7 @@ class LiveRuntime:
         )
 
     def _emit(self, module: Microprotocol, event: Event, *, direction: int) -> None:
-        index = self._modules.index(module)
-        target_index = index + direction
+        target_index = self._index[module.name] + direction
         if direction < 0 and target_index < 0:
             self._deliver_to_application(event)
             return
@@ -382,10 +383,10 @@ class LiveRuntime:
         target = self._modules[target_index]
         self.boundary_crossings += 1
         if not self._trace.enabled:
-            self._run_handler(target, lambda: target.handle_event(event))
+            self._execute_actions(target, target.handle_event(event))
             return
         start = self.now
-        self._run_handler(target, lambda: target.handle_event(event))
+        self._execute_actions(target, target.handle_event(event))
         self._trace.record(
             start,
             "span.cross",
@@ -437,7 +438,7 @@ class LiveRuntime:
     def _fire_timer(self, module: Microprotocol, name: str, payload: Any) -> None:
         if not self.alive:
             return
-        self._run_handler(module, lambda: module.handle_timer(name, payload))
+        self._execute_actions(module, module.handle_timer(name, payload))
 
     def _cancel_timer(self, module: Microprotocol, name: str) -> None:
         key = (module.name, name)

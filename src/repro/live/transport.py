@@ -7,9 +7,15 @@ Fortika testbed.
 
 Topology: every process listens on one TCP port and additionally dials
 one *outgoing* connection per peer, used exclusively for its own sends
-to that peer. Inbound connections are receive-only. A single writer
-task per peer drains a FIFO queue, which makes per-(src, dst) ordering
-structural rather than accidental.
+to that peer. Inbound connections are receive-only.
+
+Sending: frames join a per-peer queue, and :meth:`Transport._pump`, the
+only code that writes them, advances one per-peer send cursor. In
+steady state ``send()`` pumps directly: one socket write per frame. The
+per-peer writer task only dials, replays the backlog after the
+HELLO/resume handshake or a HOLD release, and paces delay spikes.
+Receiving: each inbound connection is an :class:`asyncio.Protocol`
+whose ``data_received`` delivers the frames of a chunk and acks them.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
 the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
@@ -35,6 +41,7 @@ FIFO channel the protocol stacks assume.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import random
@@ -171,14 +178,87 @@ class TransportStats:
 
     def snapshot(self) -> dict:
         """A plain-dict copy for control-channel reporting."""
-        return {
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "messages_received": self.messages_received,
-            "reconnects": self.reconnects,
-            "messages_dropped": self.messages_dropped,
-        }
+        return dict(vars(self))
+
+
+class _Inbound(asyncio.Protocol):
+    """One receive-only connection: HELLO, then frames to deliver."""
+
+    def __init__(self, endpoint: Transport) -> None:
+        self._endpoint = endpoint
+        self._decoder = FrameDecoder()
+        self._peer: int | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._link = transport  # type: ignore[assignment]
+        self._endpoint._inbound.add(self._link)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._endpoint._inbound.discard(self._link)
+
+    def data_received(self, data: bytes) -> None:
+        endpoint = self._endpoint
+        try:
+            frames = self._decoder.feed(data)
+            if self._peer is None and frames:
+                self._greet(frames.pop(0))
+            if not frames:
+                return
+            peer = self._peer
+            delivered = endpoint._delivered
+            for frame in frames:
+                delivered[peer] += 1
+                endpoint.stats.messages_received += 1
+                endpoint._on_message(decode_message(frame))
+            # One cumulative ack per read chunk, not per frame.
+            self._link.write(_COUNT.pack(delivered[peer]))
+        except NetworkError as exc:
+            _trace(endpoint.pid, f"dropping inbound connection: {exc}")
+            self._link.close()
+
+    def _greet(self, frame: bytes) -> None:
+        endpoint = self._endpoint
+        peer, nonce = parse_hello(frame)
+        if endpoint._peer_nonce.get(peer) != nonce:
+            # New peer incarnation (first contact, or a crash-recovered
+            # restart): its stream starts over at frame zero. The
+            # recovered stack layer dedups re-sent messages.
+            endpoint._peer_nonce[peer] = nonce
+            endpoint._delivered[peer] = 0
+        _trace(endpoint.pid, f"inbound hello from p{peer}: resume={endpoint._delivered[peer]}")
+        self._peer = peer
+        # Resume point: how many of this incarnation's frames were
+        # already delivered (over any connection).
+        self._link.write(_COUNT.pack(endpoint._delivered[peer]))
+
+
+class _Outbound(asyncio.Protocol):
+    """One send-only connection: HELLO out, delivered counts back."""
+
+    def __init__(self, endpoint: Transport, peer: int) -> None:
+        self._endpoint = endpoint
+        self._peer = peer
+        self._pending = b""
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.link = transport  # type: ignore[assignment]
+        endpoint = self._endpoint
+        self.link.write(encode_frame(hello_frame(endpoint.pid, endpoint.nonce)))
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._pending + data
+        whole = len(buffer) - len(buffer) % _COUNT.size
+        self._pending = buffer[whole:]
+        if whole:
+            # Counts are cumulative: the last one in the chunk says it all.
+            (count,) = _COUNT.unpack_from(buffer, whole - _COUNT.size)
+            self._endpoint._on_count(self._peer, self.link, count)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        endpoint = self._endpoint
+        if endpoint._links[self._peer] is self.link:
+            endpoint._links[self._peer] = None
+        endpoint._wake(self._peer)
 
 
 class Transport:
@@ -239,6 +319,14 @@ class Transport:
         #: Global stream index of ``_queues[peer][0]`` — how many frames
         #: to this peer have been acked (and dequeued) so far.
         self._send_base: dict[int, int] = {peer: 0 for peer in self._queues}
+        #: The send cursor: global stream index of the next frame to
+        #: write to the peer's current connection. Only ``_pump`` and
+        #: the reconnect handshake move it.
+        self._cursor: dict[int, int] = {peer: 0 for peer in self._queues}
+        #: The peer's outgoing connection once its handshake is done.
+        self._links: dict[int, asyncio.Transport | None] = {
+            peer: None for peer in self._queues
+        }
         #: How many frames from each peer were delivered to ``on_message``;
         #: persists across that peer's reconnects (the resume point),
         #: scoped to the peer incarnation in ``_peer_nonce``.
@@ -247,10 +335,11 @@ class Transport:
         for peer, (nonce, count) in (resume_points or {}).items():
             self._peer_nonce[peer] = nonce
             self._delivered[peer] = count
-        self._queue_events: dict[int, asyncio.Event] = {}
+        #: What each peer's idle writer task waits on (see ``_wake``).
+        self._waiters: dict[int, asyncio.Future[None]] = {}
         self._server: asyncio.base_events.Server | None = None
         self._sender_tasks: list[asyncio.Task] = []
-        self._inbound_writers: set[asyncio.StreamWriter] = set()
+        self._inbound: set[asyncio.Transport] = set()
         self._closed = False
         #: Peers whose outbound frames are held back (fault injection:
         #: HOLD-mode partition — frames queue up and flow on release).
@@ -266,9 +355,10 @@ class Transport:
     async def start(self) -> None:
         """Bind the listening socket and begin dialing every peer."""
         host, port = self._addresses[self.pid]
-        self._server = await asyncio.start_server(self._handle_inbound, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), host, port
+        )
         for peer in self._queues:
-            self._queue_events[peer] = asyncio.Event()
             task = asyncio.create_task(
                 self._sender_loop(peer), name=f"transport.p{self.pid}->p{peer}"
             )
@@ -277,19 +367,17 @@ class Transport:
     async def close(self) -> None:
         """Stop dialing, close the server and every open connection."""
         self._closed = True
-        for event in self._queue_events.values():
-            event.set()
         for task in self._sender_tasks:
             task.cancel()
         await asyncio.gather(*self._sender_tasks, return_exceptions=True)
         self._sender_tasks.clear()
         if self._server is not None:
             self._server.close()
+            for link in list(self._inbound):
+                link.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._inbound_writers):
-            writer.close()
-        self._inbound_writers.clear()
+        self._inbound.clear()
 
     @property
     def listen_port(self) -> int:
@@ -301,35 +389,66 @@ class Transport:
     # -- sending -----------------------------------------------------------
 
     def send(self, message: NetMessage) -> None:
-        """Enqueue *message* for its destination (never blocks).
+        """Queue *message* for its destination and write it if the link
+        is open (never blocks).
 
-        FIFO per destination: the peer's single writer task transmits
-        queued frames strictly in ``send()`` call order.
+        FIFO per destination: frames reach the socket strictly in
+        ``send()`` call order, whichever path writes them.
         """
         if self._closed:
             return
-        queue = self._queues.get(message.dst)
+        dst = message.dst
+        queue = self._queues.get(dst)
         if queue is None:
             raise NetworkError(f"message to unknown process: {message}")
-        if message.dst in self._dropped:
+        if dst in self._dropped:
             self.stats.messages_dropped += 1
             return
-        frame = encode_frame(encode_message(message))
-        queue.append(frame)
+        queue.append(encode_frame(encode_message(message)))
         self.stats.messages_sent += 1
         self.stats.bytes_sent += message.wire_size
         self.stats.payload_bytes_sent += message.payload_size
-        event = self._queue_events.get(message.dst)
-        if event is not None:
-            event.set()
+        if dst in self._extra_delay:
+            self._wake(dst)  # the writer task paces delayed frames
+        else:
+            self._pump(dst)
 
-    def pending_to(self, peer: int) -> int:
-        """Frames queued for *peer* but not yet accepted by the kernel."""
-        return len(self._queues[peer])
+    def _pump(self, peer: int, limit: int | None = None) -> None:
+        """Write up to *limit* frames past the send cursor to *peer*.
+
+        The only code that writes frames and advances the cursor:
+        ``send()`` calls it for the direct path, the writer task for
+        backlog replay and paced writes. It does nothing while the link
+        is down or held. Frames stay queued until acked.
+        """
+        link = self._links[peer]
+        if link is None or peer in self._held:
+            return
+        queue = self._queues[peer]
+        cursor = self._cursor[peer]
+        start = cursor - self._send_base[peer]
+        stop = len(queue) if limit is None else min(len(queue), start + limit)
+        if start >= stop:
+            return
+        if stop - start == 1:
+            # Indexing a deque near either end is O(1); islice would walk
+            # every unacked frame from the left on each direct send.
+            link.write(queue[start])
+        else:
+            link.write(b"".join(itertools.islice(queue, start, stop)))
+        self._cursor[peer] = cursor + stop - start
+
+    def _wake(self, peer: int) -> None:
+        """Resume *peer*'s writer task if it is idle."""
+        waiter = self._waiters.get(peer)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def unacked_to(self, peer: int) -> int:
         """Frames to *peer* not yet acked by its receiver (== queued)."""
         return len(self._queues[peer])
+
+    pending_to = unacked_to
 
     @property
     def congested(self) -> bool:
@@ -366,9 +485,7 @@ class Transport:
         """Heal a HOLD: resume transmitting queued frames to *peers*."""
         self._held.difference_update(peers)
         for peer in peers:
-            event = self._queue_events.get(peer)
-            if event is not None:
-                event.set()
+            self._wake(peer)
 
     def drop_links(self, peers: set[int] | frozenset[int]) -> None:
         """Silently discard every new frame to *peers* (DROP mode)."""
@@ -389,155 +506,79 @@ class Transport:
         """Remove the extra per-frame delay towards *peers*."""
         for peer in peers:
             self._extra_delay.pop(peer, None)
+            self._wake(peer)
 
-    async def drain(self, timeout: float = 5.0, poll: float = 0.01) -> bool:
-        """Wait until every send queue is empty (best effort)."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while any(self._queues.values()):
-            if asyncio.get_running_loop().time() > deadline:
-                return False
-            await asyncio.sleep(poll)
-        return True
+    def _on_count(self, peer: int, link: asyncio.Transport, count: int) -> None:
+        """Dequeue every frame *peer*'s receiver has now delivered.
 
-    def _apply_ack(self, peer: int, count: int) -> None:
-        """Dequeue every frame the receiver has now delivered."""
+        The first count on a new connection is the receiver's resume
+        point: how many of our frames it has delivered. Anything below
+        it was received even if the ack got lost with the previous
+        connection; transmission restarts exactly there, so the stream
+        is exactly-once and in-order end to end.
+        """
         queue = self._queues[peer]
-        while self._send_base[peer] < count and queue:
+        done = max(0, min(count - self._send_base[peer], len(queue)))
+        for __ in range(done):
             queue.popleft()
-            self._send_base[peer] += 1
-
-    async def _ack_loop(self, peer: int, reader: asyncio.StreamReader) -> None:
-        """Consume cumulative acks until the connection dies."""
-        while True:
-            data = await reader.readexactly(_COUNT.size)
-            (count,) = _COUNT.unpack(data)
-            self._apply_ack(peer, count)
+        self._send_base[peer] += done
+        if self._links[peer] is not link:
+            _trace(self.pid, f"connected to p{peer}: resume={count} queued={len(queue)}")
+            # A resume point below our base means the peer endpoint is
+            # fresh (fail-stop processes do not restart; a new endpoint
+            # at the old address starts a new incarnation): frames
+            # already acked by the predecessor are gone, so transmission
+            # continues from the first unacked frame.
+            self._cursor[peer] = max(count, self._send_base[peer])
+            self._links[peer] = link
+            self._wake(peer)  # the writer task replays the backlog
 
     async def _sender_loop(self, peer: int) -> None:
-        queue = self._queues[peer]
-        event = self._queue_events[peer]
+        loop = asyncio.get_running_loop()
         backoff = self._initial_backoff
         while not self._closed:
             host, port = self._addresses[peer]
+            connection = _Outbound(self, peer)
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                await loop.create_connection(lambda: connection, host, port)
             except OSError:
-                await asyncio.sleep(backoff)
-                backoff = next_backoff(
-                    self._rng, self._initial_backoff, backoff, self._max_backoff
-                )
+                pass  # not reachable (yet): back off and redial
+            else:
+                backoff = self._initial_backoff
+                try:
+                    await self._serve(peer, connection)
+                except OSError:  # includes ConnectionError
+                    self.stats.reconnects += 1
+                finally:
+                    self._links[peer] = None
+                    connection.link.close()
+            await asyncio.sleep(backoff)
+            backoff = next_backoff(
+                self._rng, self._initial_backoff, backoff, self._max_backoff
+            )
+
+    async def _serve(self, peer: int, connection: _Outbound) -> None:
+        """Replay the backlog and pace delayed frames until the
+        connection dies.
+
+        Between those jobs the task sleeps on a future that ``_wake``
+        resolves; undelayed frames sent meanwhile go out from ``send()``.
+        """
+        loop = asyncio.get_running_loop()
+        while not self._closed:
+            if connection.link.is_closing():
+                raise ConnectionResetError("peer closed the connection")
+            pause = self._extra_delay.get(peer)
+            if pause is None:
+                self._pump(peer)
+            elif (
+                self._links[peer] is connection.link
+                and peer not in self._held
+                and self._cursor[peer] < self._send_base[peer] + len(self._queues[peer])
+            ):
+                extra, jitter = pause
+                await asyncio.sleep(extra + self._rng.uniform(0.0, jitter))
+                self._pump(peer, 1)
                 continue
-            backoff = self._initial_backoff
-            ack_task: asyncio.Task | None = None
-            try:
-                writer.write(encode_frame(hello_frame(self.pid, self.nonce)))
-                await writer.drain()
-                # The receiver opens with its resume point: how many of
-                # our frames it has delivered. Anything below it was
-                # received even if the ack got lost with the previous
-                # connection; transmission restarts exactly there, so
-                # the stream is exactly-once and in-order end to end.
-                (resume,) = _COUNT.unpack(await reader.readexactly(_COUNT.size))
-                _trace(
-                    self.pid,
-                    f"connected to p{peer}: resume={resume} "
-                    f"base={self._send_base[peer]} queued={len(queue)}",
-                )
-                self._apply_ack(peer, resume)
-                # A resume point below our base means the peer endpoint
-                # is fresh (fail-stop processes do not restart; a new
-                # endpoint at the old address starts a new incarnation):
-                # frames already acked by the predecessor are gone, so
-                # transmission continues from the first unacked frame.
-                next_to_send = max(resume, self._send_base[peer])
-                ack_task = asyncio.create_task(self._ack_loop(peer, reader))
-                while not self._closed:
-                    if ack_task.done():
-                        raise ConnectionResetError("peer closed the connection")
-                    offset = next_to_send - self._send_base[peer]
-                    if peer in self._held or offset >= len(queue):
-                        event.clear()
-                        waiter = asyncio.create_task(event.wait())
-                        try:
-                            await asyncio.wait(
-                                {waiter, ack_task},
-                                return_when=asyncio.FIRST_COMPLETED,
-                            )
-                        finally:
-                            waiter.cancel()
-                        continue
-                    pause = self._extra_delay.get(peer)
-                    if pause is not None:
-                        extra, jitter = pause
-                        await asyncio.sleep(extra + self._rng.uniform(0.0, jitter))
-                        # Acks land during the sleep and advance the
-                        # base; the offset computed before it would now
-                        # index past the next frame — transmitting
-                        # queue[stale offset] silently skips frames,
-                        # and a skipped frame is lost forever (the
-                        # stream has no other retransmission path).
-                        offset = next_to_send - self._send_base[peer]
-                        if offset >= len(queue):
-                            continue
-                    writer.write(queue[offset])
-                    next_to_send += 1
-                    await writer.drain()
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                self.stats.reconnects += 1
-                await asyncio.sleep(backoff)
-                backoff = next_backoff(
-                    self._rng, self._initial_backoff, backoff, self._max_backoff
-                )
-            finally:
-                if ack_task is not None:
-                    ack_task.cancel()
-                writer.close()
-
-    # -- receiving ---------------------------------------------------------
-
-    async def _handle_inbound(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._inbound_writers.add(writer)
-        decoder = FrameDecoder()
-        peer: int | None = None
-        try:
-            while not self._closed:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                progressed = False
-                for frame in decoder.feed(data):
-                    if peer is None:
-                        peer, nonce = parse_hello(frame)
-                        _trace(
-                            self.pid,
-                            f"inbound hello from p{peer}: nonce "
-                            f"{'match' if self._peer_nonce.get(peer) == nonce else 'NEW'}"
-                            f", resume={self._delivered.get(peer, 0) if self._peer_nonce.get(peer) == nonce else 0}",
-                        )
-                        if self._peer_nonce.get(peer) != nonce:
-                            # New peer incarnation (first contact, or a
-                            # crash-recovered restart): its stream
-                            # starts over at frame zero. The recovered
-                            # stack layer dedups re-sent messages.
-                            self._peer_nonce[peer] = nonce
-                            self._delivered[peer] = 0
-                        # Resume point: how many of this incarnation's
-                        # frames were already delivered (over any
-                        # connection).
-                        writer.write(_COUNT.pack(self._delivered.get(peer, 0)))
-                        continue
-                    self._delivered[peer] = self._delivered.get(peer, 0) + 1
-                    self.stats.messages_received += 1
-                    progressed = True
-                    self._on_message(decode_message(frame))
-                if progressed:
-                    # One cumulative ack per read chunk, not per frame.
-                    writer.write(_COUNT.pack(self._delivered[peer]))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            return
-        finally:
-            self._inbound_writers.discard(writer)
-            writer.close()
+            waiter = self._waiters[peer] = loop.create_future()
+            await waiter

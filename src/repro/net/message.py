@@ -22,9 +22,20 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import NetworkError
-from repro.net.wire import WIRE_FORMAT_VERSION, check_version, decode_value, encode_value
+from repro.net.wire import WIRE_FORMAT_VERSION, check_version, encode_value, is_registered, parse_json
 
 _MSG_COUNTER = itertools.count()
+
+#: One compact encoder for every message (``json.dumps`` with custom
+#: separators builds a new encoder per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: ``(payload, encoding)`` of the last registered (immutable) payload:
+#: a broadcast's copies reuse it, as the simulator serializes once.
+#: Mutable payloads (``dict``, ``list``) are encoded on every send. Safe
+#: to share process-wide: a hit returns what encoding would return, and
+#: the held reference keeps the payload's identity from being reused.
+_last_encoded: tuple[Any, Any] = (object(), None)
 
 
 @dataclass(slots=True)
@@ -79,18 +90,26 @@ def encode_message(message: NetMessage) -> bytes:
     ``uid`` travels too: it is only unique per sending process, but the
     receiving side uses it for tracing, never as a global key.
     """
+    global _last_encoded
+    payload = message.payload
+    if payload is _last_encoded[0]:
+        encoded = _last_encoded[1]
+    else:
+        encoded = encode_value(payload)
+        if is_registered(payload):
+            _last_encoded = (payload, encoded)
     document = {
         "v": WIRE_FORMAT_VERSION,
         "kind": message.kind,
         "module": message.module,
         "src": message.src,
         "dst": message.dst,
-        "payload": encode_value(message.payload),
+        "payload": encoded,
         "payload_size": message.payload_size,
         "header_size": message.header_size,
         "uid": message.uid,
     }
-    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")
 
 
 def decode_message(data: bytes) -> NetMessage:
@@ -100,8 +119,8 @@ def decode_message(data: bytes) -> NetMessage:
     wire-format version this build does not speak.
     """
     try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        document = parse_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"malformed wire message: {exc}") from exc
     if not isinstance(document, dict):
         raise NetworkError(f"malformed wire message: {document!r}")
@@ -112,7 +131,7 @@ def decode_message(data: bytes) -> NetMessage:
             module=document["module"],
             src=document["src"],
             dst=document["dst"],
-            payload=decode_value(document["payload"]),
+            payload=document["payload"],
             payload_size=document["payload_size"],
             header_size=document["header_size"],
             uid=document["uid"],

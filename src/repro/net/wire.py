@@ -21,6 +21,7 @@ version instead of guessing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, is_dataclass
 from typing import Any, TypeVar
 
@@ -36,15 +37,9 @@ _T = TypeVar("_T")
 _CONTAINER_TAGS = frozenset({"tuple", "list", "dict", "frozenset", "bytes"})
 
 _BY_TAG: dict[str, type] = {}
-_BY_TYPE: dict[type, str] = {}
+#: ``type -> (wire tag, field names)``, computed once at registration.
+_BY_TYPE: dict[type, tuple[str, tuple[str, ...]]] = {}
 _payloads_loaded = False
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    """Wire field names of a registered payload class."""
-    if is_dataclass(cls):
-        return tuple(f.name for f in fields(cls))
-    return cls._fields  # NamedTuple
 
 
 def wire_payload(cls: type[_T]) -> type[_T]:
@@ -56,9 +51,11 @@ def wire_payload(cls: type[_T]) -> type[_T]:
     (bump :data:`WIRE_FORMAT_VERSION`).
     """
     tag = cls.__name__
-    if not is_dataclass(cls) and not (
-        issubclass(cls, tuple) and hasattr(cls, "_fields")
-    ):
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))
+    elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        names = tuple(cls._fields)
+    else:
         raise TypeError(f"wire payloads must be dataclasses or NamedTuples: {cls!r}")
     if tag in _CONTAINER_TAGS:
         raise TypeError(f"payload tag {tag!r} collides with a container tag")
@@ -66,8 +63,13 @@ def wire_payload(cls: type[_T]) -> type[_T]:
     if registered is not None and registered is not cls:
         raise TypeError(f"duplicate wire payload tag {tag!r}")
     _BY_TAG[tag] = cls
-    _BY_TYPE[cls] = tag
+    _BY_TYPE[cls] = (tag, names)
     return cls
+
+
+def is_registered(value: Any) -> bool:
+    """Whether *value* is a registered (immutable) payload object."""
+    return value.__class__ in _BY_TYPE
 
 
 def _ensure_payloads() -> None:
@@ -99,33 +101,32 @@ def _ensure_payloads() -> None:
 def encode_value(value: Any) -> Any:
     """Encode *value* into a JSON-serializable structure."""
     _ensure_payloads()
+    return _encode(value)
+
+
+def _encode(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     # Registered payloads take precedence over the container branches:
     # NamedTuple payloads (e.g. MessageId) are tuples too, and must
     # round-trip as their registered type, not as a bare tuple.
-    tag = _BY_TYPE.get(type(value))
-    if tag is not None:
-        return {
-            "$t": tag,
-            "f": {
-                name: encode_value(getattr(value, name))
-                for name in _field_names(type(value))
-            },
-        }
+    entry = _BY_TYPE.get(value.__class__)
+    if entry is not None:
+        tag, names = entry
+        return {"$t": tag, "f": {name: _encode(getattr(value, name)) for name in names}}
     if isinstance(value, bytes):
         return {"$t": "bytes", "hex": value.hex()}
     if isinstance(value, tuple):
-        return {"$t": "tuple", "items": [encode_value(v) for v in value]}
+        return {"$t": "tuple", "items": [_encode(v) for v in value]}
     if isinstance(value, list):
-        return {"$t": "list", "items": [encode_value(v) for v in value]}
+        return {"$t": "list", "items": [_encode(v) for v in value]}
     if isinstance(value, frozenset):
-        items = sorted((encode_value(v) for v in value), key=repr)
+        items = sorted((_encode(v) for v in value), key=repr)
         return {"$t": "frozenset", "items": items}
     if isinstance(value, dict):
         return {
             "$t": "dict",
-            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "items": [[_encode(k), _encode(v)] for k, v in value.items()],
         }
     raise NetworkError(
         f"cannot serialize unregistered payload type {type(value).__name__!r}; "
@@ -140,26 +141,45 @@ def decode_value(encoded: Any) -> Any:
         return encoded
     if isinstance(encoded, list):  # only produced inside container tags
         return [decode_value(v) for v in encoded]
-    if not isinstance(encoded, dict):
-        raise NetworkError(f"malformed wire value: {encoded!r}")
-    tag = encoded.get("$t")
-    if tag == "bytes":
-        return bytes.fromhex(encoded["hex"])
-    if tag == "tuple":
-        return tuple(decode_value(v) for v in encoded["items"])
-    if tag == "list":
-        return [decode_value(v) for v in encoded["items"]]
-    if tag == "frozenset":
-        return frozenset(decode_value(v) for v in encoded["items"])
-    if tag == "dict":
-        return {decode_value(k): decode_value(v) for k, v in encoded["items"]}
+    if isinstance(encoded, dict):
+        return _decode_object({k: decode_value(v) for k, v in encoded.items()})
+    raise NetworkError(f"malformed wire value: {encoded!r}")
+
+
+def _decode_object(document: dict) -> Any:
+    """Rebuild one tagged object whose members are already decoded
+    (the JSON parser's object hook); untagged objects — the envelope,
+    field maps — come back unchanged."""
+    tag = document.get("$t")
+    if tag is None:
+        return document
     cls = _BY_TAG.get(tag)
-    if cls is None:
-        raise NetworkError(f"unknown wire payload tag {tag!r}")
-    try:
-        return cls(**{name: decode_value(v) for name, v in encoded["f"].items()})
-    except (KeyError, TypeError) as exc:
-        raise NetworkError(f"malformed {tag!r} payload: {exc}") from exc
+    if cls is not None:
+        try:
+            return cls(**document["f"])
+        except (KeyError, TypeError) as exc:
+            raise NetworkError(f"malformed {tag!r} payload: {exc}") from exc
+    if tag == "tuple":
+        return tuple(document["items"])
+    if tag == "list":
+        return list(document["items"])
+    if tag == "dict":
+        return dict(document["items"])
+    if tag == "frozenset":
+        return frozenset(document["items"])
+    if tag == "bytes":
+        return bytes.fromhex(document["hex"])
+    raise NetworkError(f"unknown wire payload tag {tag!r}")
+
+
+_DECODER = json.JSONDecoder(object_hook=_decode_object)
+
+
+def parse_json(data: bytes) -> Any:
+    """Parse wire JSON, decoding tagged values as the parser runs (one
+    prebuilt decoder: ``json.loads`` would build one per call)."""
+    _ensure_payloads()
+    return _DECODER.decode(data.decode("utf-8"))
 
 
 def check_version(version: Any) -> None:

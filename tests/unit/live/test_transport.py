@@ -5,6 +5,7 @@ each test owns its loop and closes every transport it opened.
 """
 
 import asyncio
+import itertools
 import random
 import socket
 import struct
@@ -442,3 +443,151 @@ class TestFaultHooks:
                 await b.close()
 
         asyncio.run(run())
+
+
+class TestHandoff:
+    """The direct path and the writer task share one send cursor.
+
+    Each phase streams frames (sends interleaved with loop turns, so
+    ``send()`` writes them itself), switches the link to another path
+    mid-stream and back. Whatever the interleaving, the receiver must
+    see every queued frame exactly once and in order: a writer task
+    resuming from a cursor of its own would re-send the frames the
+    direct path already wrote.
+    """
+
+    def test_every_path_switch_keeps_the_stream_exactly_once(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            a = Transport(
+                0, addresses, received[0].append,
+                initial_backoff=0.01, max_backoff=0.05, rng=random.Random(3),
+            )
+            b = Transport(1, addresses, received[1].append)
+            await a.start()
+            await b.start()
+            counter = itertools.count()
+            expected = []
+
+            async def stream(count):
+                for __ in range(count):
+                    seq = next(counter)
+                    a.send(message(0, 1, seq))
+                    expected.append(seq)
+                    await asyncio.sleep(0)
+
+            async def settle():
+                await wait_for(lambda: len(received[1]) >= len(expected))
+                assert [m.payload for m in received[1]] == expected
+                await wait_for(lambda: a.unacked_to(1) == 0)
+
+            try:
+                await stream(20)
+                await settle()
+
+                await stream(10)
+                a.hold_links({1})
+                await stream(10)
+                assert a.unacked_to(1) >= 10  # held frames stay queued
+                a.release_links({1})
+                await stream(10)
+                await settle()
+
+                await stream(10)
+                a.set_link_delay({1}, 0.002, 0.002)
+                await stream(10)
+                a.clear_link_delay({1})
+                await stream(10)
+                await settle()
+
+                await stream(5)
+                a.drop_links({1})
+                a.send(message(0, 1, -1))  # discarded, never queued
+                a.undrop_links({1})
+                await stream(5)
+                await settle()
+
+                await stream(10)
+                a._links[1].abort()  # the connection resets mid-stream
+                await stream(10)
+                await settle()
+                assert a.stats.reconnects >= 1
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == expected
+            assert a.stats.messages_dropped == 1
+
+        asyncio.run(run())
+
+    def test_malformed_frame_closes_only_that_connection(self):
+        async def run():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda __, context: errors.append(context))
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            a, b = make_pair(addresses, received)
+            await a.start()
+            await b.start()
+            try:
+                a.send(message(0, 1, 0))
+                await wait_for(lambda: received[1])
+                for garbage in (
+                    [encode_frame(b"not a hello")],
+                    [encode_frame(b'{"v":1,"hello":2}'), encode_frame(b"{not json")],
+                    [struct.pack(">I", 2**31)],  # length prefix over the cap
+                ):
+                    reader, writer = await asyncio.open_connection(*addresses[1])
+                    for frame in garbage:
+                        writer.write(frame)
+                    await writer.drain()
+                    # The receiver hangs up: EOF, or a reset if bytes
+                    # were still unread.
+                    try:
+                        while await reader.read(1024):
+                            pass
+                    except ConnectionResetError:
+                        pass
+                    writer.close()
+                a.send(message(0, 1, 1))
+                await wait_for(lambda: len(received[1]) == 2)
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == [0, 1]
+            assert errors == []
+            assert a.stats.reconnects == 0  # the healthy connection survived
+
+        asyncio.run(run())
+
+
+class TestEncodeOnce:
+    def test_send_to_all_encodes_the_payload_once(self, monkeypatch):
+        from repro.consensus.messages import Ack
+        from repro.live.runtime import LiveRuntime
+        from repro.net import message as message_module
+        from repro.stack.actions import SendToAll
+        from repro.stack.module import Microprotocol, ModuleContext
+
+        class Broadcaster(Microprotocol):
+            name = "consensus"
+
+            def handle_event(self, event):
+                return [SendToAll("ACK", Ack(instance=1, round=1), 24)]
+
+        calls = []
+        real = message_module.encode_value
+        monkeypatch.setattr(
+            message_module, "encode_value", lambda v: calls.append(v) or real(v)
+        )
+        n = 4
+        addresses = {pid: ("127.0.0.1", 1) for pid in range(n)}
+        transport = Transport(0, addresses, lambda m: None)  # never started
+        ctx = ModuleContext(pid=0, n=n, suspects=lambda: frozenset())
+        runtime = LiveRuntime(0, n, [Broadcaster(ctx)], transport)
+        runtime.inject(object())
+        assert transport.stats.messages_sent == n - 1
+        assert [transport.unacked_to(peer) for peer in (1, 2, 3)] == [1, 1, 1]
+        assert len(calls) == 1
