@@ -14,8 +14,9 @@ only code that writes them, advances one per-peer send cursor. In
 steady state ``send()`` pumps directly: one socket write per frame. The
 per-peer writer task only dials, replays the backlog after the
 HELLO/resume handshake or a HOLD release, and paces delay spikes.
-Receiving: each inbound connection is an :class:`asyncio.Protocol`
-whose ``data_received`` delivers the frames of a chunk and acks them.
+Receiving: each connection is an :class:`asyncio.BufferedProtocol`
+that owns one preallocated receive buffer; the event loop reads into it
+and ``buffer_updated`` parses, delivers and acks the frames of each read.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
 the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
@@ -61,6 +62,16 @@ _LENGTH = struct.Struct(">I")
 
 #: Cumulative frame counts exchanged by the ack protocol.
 _COUNT = struct.Struct(">Q")
+
+#: Receive buffer of each inbound connection, allocated once and reused
+#: for every read. A fresh buffer per read (asyncio's default, 256 KiB)
+#: makes each read's cost depend on glibc's dynamic mmap threshold; 64 KiB
+#: also stays below its default 128 KiB. Larger frames span several reads.
+_RECV_BUFFER = 64 * 1024
+
+#: Receive buffer of each outbound connection, which only reads the
+#: receiver's 8-byte cumulative counts.
+_ACK_BUFFER = 32 * _COUNT.size
 
 #: Callback invoked with every decoded protocol message.
 MessageHandler = Callable[[NetMessage], None]
@@ -116,8 +127,11 @@ class FrameDecoder:
         self._buffer = bytearray()
         self._max_frame = max_frame
 
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb *data*; return every frame it completed, in order."""
+    def feed(self, data: bytes | memoryview) -> list[bytes]:
+        """Absorb *data*; return every frame it completed, in order.
+
+        *data* is copied, so the caller may reuse its buffer.
+        """
         self._buffer.extend(data)
         frames: list[bytes] = []
         while len(self._buffer) >= _LENGTH.size:
@@ -181,13 +195,14 @@ class TransportStats:
         return dict(vars(self))
 
 
-class _Inbound(asyncio.Protocol):
+class _Inbound(asyncio.BufferedProtocol):
     """One receive-only connection: HELLO, then frames to deliver."""
 
     def __init__(self, endpoint: Transport) -> None:
         self._endpoint = endpoint
         self._decoder = FrameDecoder()
         self._peer: int | None = None
+        self._view = memoryview(bytearray(_RECV_BUFFER))
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._link = transport  # type: ignore[assignment]
@@ -196,20 +211,30 @@ class _Inbound(asyncio.Protocol):
     def connection_lost(self, exc: Exception | None) -> None:
         self._endpoint._inbound.discard(self._link)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
         endpoint = self._endpoint
         try:
-            frames = self._decoder.feed(data)
+            frames = self._decoder.feed(self._view[:nbytes])
             if self._peer is None and frames:
                 self._greet(frames.pop(0))
             if not frames:
                 return
             peer = self._peer
+            pid = endpoint.pid
             delivered = endpoint._delivered
             for frame in frames:
+                message = decode_message(frame)
+                if message.src != peer or message.dst != pid:
+                    raise NetworkError(
+                        f"frame {message.src}->{message.dst} on the p{peer} "
+                        f"connection to p{pid}"
+                    )
                 delivered[peer] += 1
                 endpoint.stats.messages_received += 1
-                endpoint._on_message(decode_message(frame))
+                endpoint._on_message(message)
             # One cumulative ack per read chunk, not per frame.
             self._link.write(_COUNT.pack(delivered[peer]))
         except NetworkError as exc:
@@ -219,6 +244,8 @@ class _Inbound(asyncio.Protocol):
     def _greet(self, frame: bytes) -> None:
         endpoint = self._endpoint
         peer, nonce = parse_hello(frame)
+        if peer not in endpoint._queues:  # this process, or not in the group
+            raise NetworkError(f"HELLO from p{peer}, not a peer of p{endpoint.pid}")
         if endpoint._peer_nonce.get(peer) != nonce:
             # New peer incarnation (first contact, or a crash-recovered
             # restart): its stream starts over at frame zero. The
@@ -232,26 +259,33 @@ class _Inbound(asyncio.Protocol):
         self._link.write(_COUNT.pack(endpoint._delivered[peer]))
 
 
-class _Outbound(asyncio.Protocol):
+class _Outbound(asyncio.BufferedProtocol):
     """One send-only connection: HELLO out, delivered counts back."""
 
     def __init__(self, endpoint: Transport, peer: int) -> None:
         self._endpoint = endpoint
         self._peer = peer
-        self._pending = b""
+        self._view = memoryview(bytearray(_ACK_BUFFER))
+        #: Bytes of a partial count kept at the front of the buffer.
+        self._filled = 0
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.link = transport  # type: ignore[assignment]
         endpoint = self._endpoint
         self.link.write(encode_frame(hello_frame(endpoint.pid, endpoint.nonce)))
 
-    def data_received(self, data: bytes) -> None:
-        buffer = self._pending + data
-        whole = len(buffer) - len(buffer) % _COUNT.size
-        self._pending = buffer[whole:]
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._filled :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        view = self._view
+        total = self._filled + nbytes
+        self._filled = total % _COUNT.size
+        whole = total - self._filled
         if whole:
-            # Counts are cumulative: the last one in the chunk says it all.
-            (count,) = _COUNT.unpack_from(buffer, whole - _COUNT.size)
+            # Counts are cumulative: the last whole one says it all.
+            (count,) = _COUNT.unpack_from(view, whole - _COUNT.size)
+            view[: self._filled] = view[whole:total]
             self._endpoint._on_count(self._peer, self.link, count)
 
     def connection_lost(self, exc: Exception | None) -> None:

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.errors import MetricsError
 
 
@@ -66,6 +64,11 @@ def mean_confidence_interval(
         return ConfidenceInterval(centre, 0.0, confidence, count)
     variance = sum((v - centre) ** 2 for v in values) / (count - 1)
     std_error = math.sqrt(variance / count)
+    # Imported on first use, not with the module: loading scipy costs
+    # every process (live workers, restarts, CLI calls) over a second
+    # and ~75 MiB, and this is its only user.
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf((1 + confidence) / 2, df=count - 1))
     return ConfidenceInterval(centre, t_value * std_error, confidence, count)
 

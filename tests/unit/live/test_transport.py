@@ -10,14 +10,17 @@ import random
 import socket
 import struct
 
+import pytest
+
 from repro.live.transport import (
     FrameDecoder,
     Transport,
     encode_frame,
+    hello_frame,
     next_backoff,
     parse_hello,
 )
-from repro.net.message import NetMessage
+from repro.net.message import NetMessage, encode_message
 
 
 def message(src: int, dst: int, seq: int) -> NetMessage:
@@ -36,6 +39,17 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+async def read_until_hangup(reader) -> bytes:
+    """Everything the transport writes until it closes the connection."""
+    received = bytearray()
+    try:
+        while chunk := await asyncio.wait_for(reader.read(1024), 5.0):
+            received += chunk
+    except ConnectionResetError:
+        pass  # a reset instead of EOF: bytes were still unread
+    return bytes(received)
 
 
 async def wait_for(predicate, timeout=5.0, poll=0.005):
@@ -543,13 +557,7 @@ class TestHandoff:
                     for frame in garbage:
                         writer.write(frame)
                     await writer.drain()
-                    # The receiver hangs up: EOF, or a reset if bytes
-                    # were still unread.
-                    try:
-                        while await reader.read(1024):
-                            pass
-                    except ConnectionResetError:
-                        pass
+                    await read_until_hangup(reader)
                     writer.close()
                 a.send(message(0, 1, 1))
                 await wait_for(lambda: len(received[1]) == 2)
@@ -591,3 +599,199 @@ class TestEncodeOnce:
         assert transport.stats.messages_sent == n - 1
         assert [transport.unacked_to(peer) for peer in (1, 2, 3)] == [1, 1, 1]
         assert len(calls) == 1
+
+
+class TestPeerIdentity:
+    """A connection speaks for exactly one other group member.
+
+    A HELLO naming a non-member or the receiver itself gets no resume
+    point and leaves no entry in ``delivered_counts()``; a frame whose
+    ``src``/``dst`` does not match the connection is not delivered.
+    Either way only that connection closes: the healthy link keeps its
+    stream.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        ["hello-non-member", "hello-self", "frame-wrong-src", "frame-wrong-dst"],
+    )
+    def test_impostor_connection_is_closed(self, case):
+        async def run():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda __, context: errors.append(context))
+            # p2 is a group member that never starts; the impostor
+            # connections that pass the HELLO check claim to be p2.
+            addresses = {pid: ("127.0.0.1", free_port()) for pid in range(3)}
+            received = {0: [], 1: []}
+            a, b = make_pair(addresses, received)
+            await a.start()
+            await b.start()
+            try:
+                a.send(message(0, 1, 0))
+                await wait_for(lambda: received[1])
+                raw = {
+                    "hello-non-member": [hello_frame(7, 1)],
+                    "hello-self": [hello_frame(1, 1)],
+                    "frame-wrong-src": [hello_frame(2, 1), encode_message(message(0, 1, 99))],
+                    "frame-wrong-dst": [hello_frame(2, 1), encode_message(message(2, 0, 99))],
+                }[case]
+                reader, writer = await asyncio.open_connection(*addresses[1])
+                writer.write(b"".join(encode_frame(frame) for frame in raw))
+                await writer.drain()
+                answer = await read_until_hangup(reader)
+                writer.close()
+                a.send(message(0, 1, 1))
+                await wait_for(lambda: len(received[1]) == 2)
+                await wait_for(lambda: a.unacked_to(1) == 0)
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == [0, 1]
+            assert errors == []
+            assert a.stats.reconnects == 0  # the healthy connection survived
+            counts = b.delivered_counts()
+            assert set(counts) <= {0, 2}
+            if case.startswith("hello"):
+                assert answer == b""  # no resume point for an impostor
+                assert 2 not in counts
+            else:
+                # The HELLO was accepted (resume point 0), no frame was.
+                assert answer == struct.pack(">Q", 0)
+                assert counts[2] == (1, 0)
+
+        asyncio.run(run())
+
+
+class TestBufferedReceive:
+    """Reads land in a fixed per-connection buffer; frames and counts
+    that straddle reads are reassembled."""
+
+    def test_frame_larger_than_the_receive_buffer_arrives_and_is_acked(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            a, b = make_pair(addresses, received)
+            await a.start()
+            await b.start()
+            blob = random.Random(5).randbytes(256 * 1024)
+            try:
+                a.send(message(0, 1, 0))
+                a.send(
+                    NetMessage(
+                        kind="test", module="abcast", src=0, dst=1,
+                        payload=blob, payload_size=len(blob), header_size=4,
+                    )
+                )
+                a.send(message(0, 1, 2))
+                await wait_for(lambda: len(received[1]) == 3)
+                await wait_for(lambda: a.unacked_to(1) == 0)
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == [0, blob, 2]
+            assert b.delivered_counts()[0] == (a.nonce, 3)
+
+        asyncio.run(run())
+
+    def test_stream_written_one_byte_at_a_time(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = []
+            b = Transport(1, addresses, received.append)
+            await b.start()
+            try:
+                reader, writer = await asyncio.open_connection(*addresses[1])
+                writer.get_extra_info("socket").setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                )
+                stream = encode_frame(hello_frame(0, 42)) + b"".join(
+                    encode_frame(encode_message(message(0, 1, seq))) for seq in range(3)
+                )
+                for index in range(len(stream)):
+                    writer.write(stream[index : index + 1])
+                    await writer.drain()
+                    for __ in range(2):  # let the receiver read this byte alone
+                        await asyncio.sleep(0)
+                counts = []
+                acked = bytearray()
+                while not counts or counts[-1] < 3:
+                    acked += await asyncio.wait_for(reader.read(1024), 5.0)
+                    whole = len(acked) - len(acked) % 8
+                    counts = [
+                        struct.unpack_from(">Q", acked, at)[0] for at in range(0, whole, 8)
+                    ]
+                writer.close()
+                await asyncio.sleep(0.02)  # no late duplicates either
+            finally:
+                await b.close()
+            assert [m.payload for m in received] == [0, 1, 2]
+            assert counts[0] == 0  # the resume point
+            assert counts == sorted(counts)
+            assert counts[-1] == 3
+            assert b.delivered_counts() == {0: (42, 3)}
+
+        asyncio.run(run())
+
+    def test_count_split_across_writes_is_applied_once_complete(self):
+        async def run():
+            port = free_port()
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", port)}
+            frames_in = asyncio.Queue()
+            connected = asyncio.Event()
+            writers = []
+
+            async def raw_receiver(reader, writer):
+                writers.append(writer)
+                writer.get_extra_info("socket").setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                )
+                decoder = FrameDecoder()
+                while chunk := await reader.read(64 * 1024):
+                    for frame in decoder.feed(chunk):
+                        if not connected.is_set():
+                            parse_hello(frame)
+                            writer.write(struct.pack(">Q", 0))  # resume point
+                            connected.set()
+                        else:
+                            frames_in.put_nowait(frame)
+
+            server = await asyncio.start_server(raw_receiver, "127.0.0.1", port)
+            a = Transport(0, addresses, lambda m: None)
+            await a.start()
+            try:
+                await asyncio.wait_for(connected.wait(), 5.0)
+                for seq in range(300):
+                    a.send(message(0, 1, seq))
+                for __ in range(300):
+                    await asyncio.wait_for(frames_in.get(), 5.0)
+                count = struct.pack(">Q", 3)
+                for piece in (count[:3], count[3:6]):
+                    writers[0].write(piece)
+                    await writers[0].drain()
+                    await asyncio.sleep(0.02)
+                    assert a.unacked_to(1) == 300  # a partial count acks nothing
+                writers[0].write(count[6:])
+                await wait_for(lambda: a.unacked_to(1) == 297)
+                # A whole count, then count 258 (0x0102) cut after its
+                # seventh byte: the partial kept across reads holds a
+                # non-zero byte, so one that is lost or overwritten reads
+                # as the wrong count. 258 < 300 keeps the cap from hiding it.
+                stream = struct.pack(">QQ", 4, 258)
+                writers[0].write(stream[:15])
+                await writers[0].drain()
+                await wait_for(lambda: a.unacked_to(1) == 296)
+                await asyncio.sleep(0.02)
+                assert a.unacked_to(1) == 296  # the partial 258 acks nothing
+                writers[0].write(stream[15:])
+                await wait_for(lambda: a.unacked_to(1) == 42)
+                await asyncio.sleep(0.02)
+                assert a.unacked_to(1) == 42
+            finally:
+                await a.close()
+                server.close()
+                for writer in writers:
+                    writer.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
